@@ -33,8 +33,8 @@
 #include "data/dataset_registry.h"
 #include "serve/fleet_server.h"
 #include "serve/loadgen.h"
-#include "tensor/tensor.h"
 #include "util/env.h"
+#include "util/thread_pool.h"
 
 namespace conformer::bench {
 namespace {
@@ -57,8 +57,7 @@ struct Row {
 // yardstick.
 double MeasureCapacity(serve::InferenceSession* session,
                        const data::Batch& batch) {
-  ClearBufferPool();
-  session->Predict(batch);  // Warm-up: activation-buffer pool.
+  session->Predict(batch);  // Untimed warm-up.
   int64_t iters = 0;
   const auto start = Clock::now();
   double elapsed = 0.0;
@@ -71,8 +70,7 @@ double MeasureCapacity(serve::InferenceSession* session,
 }
 
 int Main() {
-  const int64_t threads = std::max<int64_t>(
-      1, static_cast<int64_t>(std::thread::hardware_concurrency()));
+  const int64_t threads = ThreadPool::Global().num_threads();
 
   // Two linear tenants at different horizons: fast enough for the smoke
   // job, structurally a real mixed-geometry fleet. Untrained weights —
@@ -150,7 +148,8 @@ int Main() {
   fleet.Shutdown();
 
   std::printf("{\"hardware_concurrency\": %lld, \"results\": [",
-              static_cast<long long>(threads));
+              static_cast<long long>(std::max<int64_t>(
+                  1, std::thread::hardware_concurrency())));
   for (size_t i = 0; i < rows.size(); ++i) {
     std::printf(
         "%s\n  {\"kernel\": \"%s\", \"threads\": %lld, \"ops_per_sec\": %.3f}",

@@ -9,9 +9,10 @@
 //                 "ops_per_sec": ...}]}
 //
 // ops_per_sec counts forecast *series* per second in every row, so rows are
-// directly comparable: serve_queue_b8 / serve_seq_b1 is the micro-batching
-// speedup (>= 3x on the multicore CI runner; ~1x on one core, where wider
-// batches only amortize per-call overhead).
+// directly comparable: serve_direct_b8 / serve_seq_b1 is the micro-batching
+// speedup (1.7-2.3x at one thread on a 4-vCPU AVX2 host, where wider
+// batches only amortize per-call overhead). Rows are keyed by the kernel
+// pool's thread count (CONFORMER_NUM_THREADS).
 
 #include <chrono>
 #include <cstdio>
@@ -21,7 +22,6 @@
 
 #include "data/dataset_registry.h"
 #include "serve/batching_queue.h"
-#include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
 #include "util/metrics.h"
@@ -38,17 +38,11 @@ double MinSeconds() {
 }
 
 /// Runs `fn` (one full pass over `series_per_iter` series) until the wall
-/// budget is spent; returns series forecast per second.
-///
-/// Every row starts from an empty activation-buffer pool (re-warmed by the
-/// untimed first pass), so each row measures its own steady state: the pool
-/// recycles by buffer size, and a row that ran earlier with a different
-/// batch geometry would otherwise leave the pool full of wrong-sized
-/// buffers and flip later rows into a different allocation mode.
+/// budget is spent; returns series forecast per second. The first pass is
+/// an untimed warm-up (plan rows build their plan there).
 template <typename Fn>
 double MeasureSeriesPerSec(int64_t series_per_iter, Fn fn) {
-  ClearBufferPool();
-  fn();  // Warm-up: populates the session's activation-buffer pool.
+  fn();
   int64_t iters = 0;
   const auto start = Clock::now();
   double elapsed = 0.0;
@@ -180,8 +174,7 @@ int Main() {
     const auto interarrival =
         std::chrono::nanoseconds(static_cast<int64_t>(1e9 / (2.0 * capacity)));
     const int64_t deadline_us = static_cast<int64_t>(16 * 1e6 / capacity);
-    ClearBufferPool();
-    session->Predict(singles[0]);  // Warm-up: activation-buffer pool.
+    session->Predict(singles[0]);  // Untimed warm-up.
 
     int64_t submitted = 0, delivered = 0, shed = 0, rejected = 0;
     std::vector<std::future<Result<serve::Forecast>>> futures;

@@ -5,7 +5,7 @@
 // ahead-of-time-planned Plan — one activation arena with liveness-based
 // buffer reuse, trivial producer-consumer chains fused in place, aliases
 // (Reshape/Detach/Clone) elided entirely — and replay it with zero per-op
-// dispatch, tape bookkeeping, or pool lookups. Replay is bitwise identical
+// dispatch, tape bookkeeping, or per-op allocation. Replay is bitwise identical
 // to the eager path at any thread count; VerifyParity() proves it per node.
 
 #ifndef CONFORMER_RUNTIME_STATIC_RUNTIME_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -58,6 +59,23 @@ Status ValidateRequest(const data::Batch& request,
       return Status::InvalidArgument(std::string("request ") + field.name +
                                      " geometry does not match the session"
                                      " window");
+    }
+  }
+  // A NaN or Inf input would be answered OK with a non-finite forecast.
+  const struct {
+    const Tensor& tensor;
+    const char* name;
+  } inputs[] = {{request.x, "x"},
+                {request.x_mark, "x_mark"},
+                {request.y, "y"},
+                {request.y_mark, "y_mark"}};
+  for (const auto& field : inputs) {
+    const float* values = field.tensor.data();
+    if (!std::all_of(values, values + field.tensor.numel(),
+                     [](float v) { return std::isfinite(v); })) {
+      Registry().GetCounter("serve.rejected_nonfinite").Increment();
+      return Status::InvalidArgument(std::string("request ") + field.name +
+                                     " contains NaN or Inf");
     }
   }
   return Status::OK();

@@ -85,7 +85,7 @@ Forecast InferenceSession::Predict(const data::Batch& batch) {
   CONFORMER_CHECK_EQ(batch.x.size(2), config_.dims);
 
   const int64_t start_ns = prof::internal::NowNs();
-  InferenceModeGuard inference_mode;
+  NoGradGuard no_grad;
 
   // The session lock is Reload()'s swap point: holding it across the whole
   // forward means a request runs entirely on one parameter set.

@@ -33,7 +33,7 @@ using ReplayFn = std::function<void(const float* const* in, float* out)>;
 struct CaptureStepMeta {
   const char* op_name = "";
   /// Replay must zero the output region before invoking the closure (ops
-  /// that accumulate into AcquireBuffer's zero-filled storage, e.g. Sum).
+  /// that accumulate into their zero-filled eager output vector, e.g. Sum).
   bool zero_init = false;
   /// The closure writes out[i] reading in[0] only at the same flat index i
   /// within the same loop iteration — safe to run with out == in[0]. This

@@ -161,7 +161,7 @@ Tensor AvgPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
 
   Shape out_shape = input.shape();
   out_shape[rank - 1] = out_len;
-  std::vector<float> out = internal::AcquireBuffer(outer * out_len);
+  std::vector<float> out(outer * out_len);
   const float inv_k = 1.0f / static_cast<float>(kernel);
   // Each outer index owns disjoint input/output rows in both directions
   // (windows may overlap within a row, never across rows).
@@ -236,7 +236,7 @@ Tensor MaxPool1d(const Tensor& input, int64_t kernel, int64_t stride) {
 
   Shape out_shape = input.shape();
   out_shape[rank - 1] = out_len;
-  std::vector<float> out = internal::AcquireBuffer(outer * out_len);
+  std::vector<float> out(outer * out_len);
   std::vector<int64_t> argmax(outer * out_len);
   const int64_t pool_grain = std::max<int64_t>(
       1, kernels::kGrainStrided / std::max<int64_t>(1, out_len * kernel));
@@ -306,7 +306,7 @@ Tensor Cumsum(const Tensor& a, int64_t dim) {
   int64_t inner = 1;
   for (int64_t i = dim + 1; i < rank; ++i) inner *= shape[i];
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
+  std::vector<float> out(a.numel());
   // Parallel over (outer, inner) scan lanes; each lane's running sum stays
   // sequential, so the result is thread-count independent.
   const int64_t lane_grain = std::max<int64_t>(

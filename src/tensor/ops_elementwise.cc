@@ -36,7 +36,7 @@ Tensor BinaryOpSpan(const Tensor& a, const Tensor& b, Fn f, SpanFn span,
   CONFORMER_PROFILE_SCOPE(name);
   CONFORMER_CHECK(a.defined() && b.defined()) << name << " on undefined tensor";
   const Shape out_shape = kernels::BroadcastShape(a.shape(), b.shape());
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+  std::vector<float> out(NumElements(out_shape));
   kernels::BroadcastBinarySpan(a.data(), a.shape(), b.data(), b.shape(),
                                out.data(), out_shape, f, span);
   Tensor a_in = a;
@@ -118,7 +118,7 @@ Tensor UnaryOpSpan(const Tensor& a, SpanFn span, Df df, const char* name) {
   CONFORMER_PROFILE_SCOPE(name);
   CONFORMER_CHECK(a.defined()) << name << " on undefined tensor";
   const int64_t n = a.numel();
-  std::vector<float> out = internal::AcquireBuffer(n);
+  std::vector<float> out(n);
   UnaryForward(n, span, a.data(), out.data());
   Tensor a_in = a;
   auto backward = [a_in, df](TensorImpl& self) mutable {

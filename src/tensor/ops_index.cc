@@ -29,7 +29,7 @@ Tensor IndexSelect(const Tensor& a, int64_t dim,
 
   Shape out_shape = in_shape;
   out_shape[dim] = count;
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+  std::vector<float> out(NumElements(out_shape));
   const int64_t o_grain = std::max<int64_t>(
       1, kernels::kGrainStrided / std::max<int64_t>(1, count * inner));
   auto forward = [indices, outer, inner, size, count,
@@ -89,7 +89,7 @@ Tensor BatchedIndexSelect(const Tensor& a, const std::vector<int64_t>& indices,
     CONFORMER_CHECK(idx >= 0 && idx < length) << "index out of range";
   }
 
-  std::vector<float> out = internal::AcquireBuffer(batch * k * depth);
+  std::vector<float> out(batch * k * depth);
   const int64_t b_grain = std::max<int64_t>(
       1, kernels::kGrainStrided / std::max<int64_t>(1, k * depth));
   auto forward = [indices, batch, length, depth, k,

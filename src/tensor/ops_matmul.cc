@@ -42,7 +42,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Shape out_shape = batch;
   out_shape.push_back(m);
   out_shape.push_back(n);
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+  std::vector<float> out(NumElements(out_shape));
 
   // Map each output batch index to the (possibly broadcast) input batch.
   const std::vector<int64_t> a_strides = kernels::BroadcastStrides(a_batch, batch);

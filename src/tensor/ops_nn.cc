@@ -55,7 +55,7 @@ Tensor Softmax(const Tensor& a, int64_t dim) {
   CONFORMER_CHECK(dim >= 0 && dim < rank);
   const DimSplit s = SplitAt(a.shape(), dim);
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
+  std::vector<float> out(a.numel());
   auto forward = [s](const float* ad, float* dst) {
     if (s.inner == 1) {
       // Contiguous rows: the dispatched SIMD row kernel (same max/exp/sum
@@ -120,7 +120,7 @@ Tensor LogSoftmax(const Tensor& a, int64_t dim) {
   if (dim < 0) dim += rank;
   const DimSplit s = SplitAt(a.shape(), dim);
 
-  std::vector<float> out = internal::AcquireBuffer(a.numel());
+  std::vector<float> out(a.numel());
   auto forward = [s](const float* ad, float* dst) {
     if (s.inner == 1) {
       ParallelRows(s, [&](int64_t base) {

@@ -62,7 +62,7 @@ Tensor Sum(const Tensor& a, std::vector<int64_t> dims, bool keepdim) {
   const Shape keep_shape = KeepdimShape(in_shape, dims);
 
   const int64_t out_numel = NumElements(out_shape);
-  std::vector<float> out = internal::AcquireBuffer(out_numel);
+  std::vector<float> out(out_numel);
   // Reducing exactly a trailing block of dims [sp, rank) makes every output
   // element the sum of one contiguous input row — the layout the SIMD row
   // reduction handles. (Sum order becomes the fixed 8-bin fold instead of

@@ -80,7 +80,7 @@ Tensor Permute(const Tensor& a, std::vector<int64_t> perm) {
   for (int64_t i = 0; i < rank; ++i) gather_strides[i] = in_strides[perm[i]];
 
   const int64_t n = a.numel();
-  std::vector<float> out = internal::AcquireBuffer(n);
+  std::vector<float> out(n);
   auto forward = [n, rank, gather_strides, out_shape](const float* ad,
                                                       float* dst) {
     std::vector<int64_t> index(rank, 0);
@@ -163,7 +163,7 @@ Tensor Slice(const Tensor& a, int64_t dim, int64_t start, int64_t end,
 
   Shape out_shape = in_shape;
   out_shape[dim] = count;
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+  std::vector<float> out(NumElements(out_shape));
   auto forward = [outer, inner, size, start, step, count](const float* ad,
                                                           float* dst_base) {
     for (int64_t o = 0; o < outer; ++o) {
@@ -228,7 +228,7 @@ Tensor Concat(const std::vector<Tensor>& parts, int64_t dim) {
 
   Shape out_shape = first;
   out_shape[dim] = total;
-  std::vector<float> out = internal::AcquireBuffer(NumElements(out_shape));
+  std::vector<float> out(NumElements(out_shape));
   std::vector<int64_t> sizes(parts.size());
   for (size_t p = 0; p < parts.size(); ++p) sizes[p] = parts[p].shape()[dim];
   auto forward = [sizes, outer, inner, total](const float* const* in,

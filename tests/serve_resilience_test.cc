@@ -11,8 +11,9 @@
 //       rejected with the old model's outputs bitwise unchanged, while a
 //       valid reload swaps with zero failed in-flight requests under
 //       concurrent client load.
-// Also regression-covers the Shutdown() double-join race and graceful
-// Submit()-after-Shutdown(). Labeled tsan+fault; CI runs it under tsan and
+// Also regression-covers the Shutdown() double-join race, graceful
+// Submit()-after-Shutdown(), and admission's refusal of malformed or
+// non-finite requests. Labeled tsan+fault; CI runs it under tsan and
 // asan at 8 threads.
 
 #include <gtest/gtest.h>
@@ -37,6 +38,7 @@
 #include "data/time_features.h"
 #include "serve/batching_queue.h"
 #include "serve/fault_injector.h"
+#include "serve/fleet_server.h"
 #include "serve/inference_session.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
@@ -314,6 +316,59 @@ TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   Result<Forecast> served = queue.Submit(good).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   queue.Shutdown();
+}
+
+TEST(AdmissionTest, NonFiniteRequestsRejectedNeighboursUnchanged) {
+  // A NaN or Inf anywhere in a request is refused at admission through
+  // both front doors; a valid request submitted alongside is served
+  // bitwise as if it were alone.
+  data::DatasetSplits splits = MakeTestSplits();
+  const data::Batch neighbour = splits.test.GetRange(1, 1);
+  data::Batch nan_row = splits.test.GetRange(0, 1);
+  nan_row.x = nan_row.x.Clone();
+  nan_row.x.data()[3] = std::numeric_limits<float>::quiet_NaN();
+  data::Batch inf_row = splits.test.GetRange(2, 1);
+  inf_row.y = inf_row.y.Clone();
+  inf_row.y.data()[5] = std::numeric_limits<float>::infinity();
+
+  using Submit =
+      std::function<std::future<Result<Forecast>>(const data::Batch&)>;
+  const auto expect_isolated = [&](const Submit& submit,
+                                   const Tensor& reference) {
+    std::future<Result<Forecast>> nan_future = submit(nan_row);
+    std::future<Result<Forecast>> good_future = submit(neighbour);
+    std::future<Result<Forecast>> inf_future = submit(inf_row);
+    for (auto* future : {&nan_future, &inf_future}) {
+      ASSERT_EQ(future->wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      EXPECT_EQ(future->get().status().code(), StatusCode::kInvalidArgument);
+    }
+    Result<Forecast> served = good_future.get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectTensorsBitwiseEqual(served.value().point, reference,
+                              "neighbour of non-finite requests");
+  };
+  const int64_t nonfinite_before = CounterValue("serve.rejected_nonfinite");
+
+  auto session = OpenLinearSession(splits);
+  ASSERT_TRUE(session.ok());
+  BatchingQueue queue(session.value().get(),
+                      {.max_batch_size = 4, .max_queue_delay_us = 1000});
+  expect_isolated([&](const data::Batch& b) { return queue.Submit(b); },
+                  session.value()->Predict(neighbour).point);
+  queue.Shutdown();
+
+  FleetServer fleet;
+  TenantSpec spec;
+  spec.session = session.value()->config();
+  spec.queue = {.max_batch_size = 4, .max_queue_delay_us = 1000};
+  ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
+  expect_isolated(
+      [&](const data::Batch& b) { return fleet.Submit("linear@8", b); },
+      fleet.session("linear@8")->Predict(neighbour).point);
+  fleet.Shutdown();
+
+  EXPECT_EQ(CounterValue("serve.rejected_nonfinite"), nonfinite_before + 4);
 }
 
 TEST(AdmissionTest, BoundedQueueRejectsOverCapacityImmediately) {

@@ -1,9 +1,9 @@
-// Serving-layer suite (docs/SERVING.md): inference-mode bitwise parity with
-// the recording forward pass, activation-buffer-pool reuse, params-only
-// checkpoint loading, checkpoint -> InferenceSession -> Predict round-trips
-// for Conformer and three registered baselines, batched-vs-single bitwise
-// transparency, BatchingQueue coalescing/drain behaviour, and the latency
-// quantile helper behind the CLI's p50/p95/p99 summary.
+// Serving-layer suite (docs/SERVING.md): no-grad bitwise parity with the
+// recording forward pass, params-only checkpoint loading, checkpoint ->
+// InferenceSession -> Predict round-trips for Conformer and four registered
+// baselines, batched-vs-single bitwise transparency, no activation memory
+// retained across Predict calls, BatchingQueue coalescing/drain behaviour,
+// and the latency quantile helper behind the CLI's p50/p95/p99 summary.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -20,6 +20,7 @@
 #include "serve/batching_queue.h"
 #include "serve/inference_session.h"
 #include "serve/stats.h"
+#include "tensor/alloc_stats.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
 #include "util/metrics.h"
@@ -68,62 +69,33 @@ TEST(InferenceModeTest, BitwiseEqualsRecordingForward) {
     const Tensor recorded = model->Forward(batch);
     EXPECT_TRUE(recorded.requires_grad()) << name;
 
-    ClearBufferPool();
-    Tensor inference_cold, inference_warm;
+    Tensor inference_first, inference_second;
     {
-      InferenceModeGuard guard;
-      inference_cold = model->Forward(batch);  // Pool empty: all misses.
-      inference_warm = model->Forward(batch);  // Recycled buffers.
+      NoGradGuard guard;
+      inference_first = model->Forward(batch);
+      inference_second = model->Forward(batch);  // Back-to-back, same model.
     }
-    EXPECT_FALSE(inference_cold.requires_grad()) << name;
-    ASSERT_EQ(inference_cold.impl()->node, nullptr) << name;
-    ExpectTensorsBitwiseEqual(recorded, inference_cold,
-                              std::string(name) + " cold inference");
-    ExpectTensorsBitwiseEqual(recorded, inference_warm,
-                              std::string(name) + " warm inference");
-    ClearBufferPool();
+    EXPECT_FALSE(inference_first.requires_grad()) << name;
+    ASSERT_EQ(inference_first.impl()->node, nullptr) << name;
+    ExpectTensorsBitwiseEqual(recorded, inference_first,
+                              std::string(name) + " first no-grad pass");
+    ExpectTensorsBitwiseEqual(recorded, inference_second,
+                              std::string(name) + " second no-grad pass");
   }
-}
-
-TEST(InferenceModeTest, BufferPoolRecyclesAcrossCalls) {
-  data::DatasetSplits splits = MakeTestSplits();
-  const data::Batch batch = splits.test.GetRange(0, 2);
-  auto model =
-      models::MakeForecaster("gru", TestWindow(), splits.test.dims()).value();
-  model->SetTraining(false);
-
-  metrics::Counter& hits =
-      metrics::Registry::Global().GetCounter("tensor.pool_hits");
-  ClearBufferPool();
-  {
-    InferenceModeGuard guard;
-    EXPECT_TRUE(BufferPoolEnabled());
-    (void)model->Forward(batch);
-    const int64_t hits_after_cold = hits.value();
-    (void)model->Forward(batch);
-    EXPECT_GT(hits.value(), hits_after_cold)
-        << "second forward should reuse recycled activation buffers";
-  }
-  EXPECT_FALSE(BufferPoolEnabled());
-  ClearBufferPool();
 }
 
 TEST(InferenceModeTest, GuardRestoresPreviousState) {
   EXPECT_TRUE(GradRecordingEnabled());
-  EXPECT_FALSE(BufferPoolEnabled());
   {
-    InferenceModeGuard outer;
+    NoGradGuard outer;
     EXPECT_FALSE(GradRecordingEnabled());
-    EXPECT_TRUE(BufferPoolEnabled());
     {
-      InferenceModeGuard inner;
+      NoGradGuard inner;
       EXPECT_FALSE(GradRecordingEnabled());
     }
     EXPECT_FALSE(GradRecordingEnabled());
-    EXPECT_TRUE(BufferPoolEnabled());
   }
   EXPECT_TRUE(GradRecordingEnabled());
-  EXPECT_FALSE(BufferPoolEnabled());
 }
 
 // -- Params-only checkpoint loading ---------------------------------------
@@ -287,6 +259,31 @@ TEST(InferenceSessionTest, BatchedPredictBitwiseEqualsSingles) {
                                     std::to_string(r) + " of micro-batch");
     }
   }
+}
+
+// -- No retention -----------------------------------------------------------
+
+TEST(InferenceSessionTest, EagerPredictRetainsNoTensorMemory) {
+  // Eager Predict keeps nothing alive between calls: once each forecast is
+  // dropped, live tensor bytes are back where they started, whatever batch
+  // geometries the session has seen.
+  data::DatasetSplits splits = MakeTestSplits();
+  SessionConfig config;
+  config.model_name = "conformer";
+  config.window = TestWindow();
+  config.dims = splits.test.dims();
+  auto session = InferenceSession::Open(config, "");
+  ASSERT_TRUE(session.ok());
+
+  const std::vector<data::Batch> batches = {splits.test.GetRange(0, 1),
+                                            splits.test.GetRange(0, 3),
+                                            splits.test.GetRange(0, 8)};
+  const int64_t before = GetAllocStats().current_bytes;
+  for (const data::Batch& batch : batches) {
+    const Forecast forecast = session.value()->Predict(batch);
+    EXPECT_GT(GetAllocStats().current_bytes, before);
+  }
+  EXPECT_EQ(GetAllocStats().current_bytes, before);
 }
 
 // -- BatchingQueue ---------------------------------------------------------

@@ -4,7 +4,7 @@
 // with bitwise comparison per node (VerifyParity) and at the output boundary.
 // Also covered: the seeded randomized-geometry fuzz pass, the injected-
 // mismatch drill for the per-node checker, arena offset/liveness overlap
-// invariants, warm-buffer-pool interaction, untraceable-op fallback, the
+// invariants, eager/replay interleaving, untraceable-op fallback, the
 // InferenceSession plan cache, and concurrent replay through BatchingQueue
 // (tsan label).
 
@@ -245,9 +245,9 @@ TEST(StaticRuntimeTest, PlannedOffsetsNeverAliasLiveRanges) {
   EXPECT_GT(planned_activation_numel, 0);
 }
 
-// -- Warm activation pool vs. plan arena -----------------------------------
+// -- Eager and plan replay interleaved -------------------------------------
 
-TEST(StaticRuntimeTest, WarmBufferPoolAndPlanReplayDoNotInterfere) {
+TEST(StaticRuntimeTest, EagerAndPlanReplayInterleaveBitwise) {
   data::DatasetSplits splits = MakeTestSplits();
   const data::Batch batch = splits.test.GetRange(0, 2);
   auto model =
@@ -256,31 +256,22 @@ TEST(StaticRuntimeTest, WarmBufferPoolAndPlanReplayDoNotInterfere) {
   model->SetTraining(false);
   const Tensor reference = model->Predict(batch);
 
-  ClearBufferPool();
-  {
-    // Warm the per-thread activation pool with eager runs, then trace and
-    // replay while the pool still holds recycled buffers: the plan's pinned
-    // constants and arena must not alias pooled storage in either direction.
-    InferenceModeGuard guard;
-    (void)model->Predict(batch);
-    (void)model->Predict(batch);
+  // Eager runs, then trace and replay, then alternate: the plan's pinned
+  // constants and arena must not alias eager storage in either direction.
+  // If replay retained or scribbled an eager buffer this diverges (or trips
+  // asan in the sanitizer job).
+  (void)model->Predict(batch);
+  (void)model->Predict(batch);
 
-    Result<TraceResult> traced = CapturePredictPlan(BindPredict(*model),
-                                                    batch);
-    ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-    PlanExecutor executor(traced.value().plan);
-    const Tensor replayed = executor.Run(batch);
-    ExpectTensorsBitwiseEqual(reference, replayed, "replay under warm pool");
-
-    // An eager run after replay recycles through the same pool; if replay
-    // had retained or scribbled a pooled buffer this diverges (or trips
-    // asan in the sanitizer job).
-    const Tensor eager_after = model->Predict(batch);
-    ExpectTensorsBitwiseEqual(reference, eager_after, "eager after replay");
-    ExpectTensorsBitwiseEqual(reference, executor.Run(batch),
-                              "replay after eager");
-  }
-  ClearBufferPool();
+  Result<TraceResult> traced = CapturePredictPlan(BindPredict(*model), batch);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  PlanExecutor executor(traced.value().plan);
+  ExpectTensorsBitwiseEqual(reference, executor.Run(batch),
+                            "replay after eager");
+  ExpectTensorsBitwiseEqual(reference, model->Predict(batch),
+                            "eager after replay");
+  ExpectTensorsBitwiseEqual(reference, executor.Run(batch),
+                            "replay after eager again");
 }
 
 // -- Untraceable ops fall back instead of freezing wrong values ------------
