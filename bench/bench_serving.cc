@@ -1,8 +1,9 @@
 // Serving-throughput benchmark (docs/SERVING.md): the same request stream
 // served three ways — one request at a time, directly coalesced batches,
-// and through the BatchingQueue with concurrent clients — so the value of
-// micro-batching is a single JSON diff. Emits the bench_parallel_kernels
-// JSON schema so CI can gate it with tools/compare_bench.py:
+// and through a one-tenant FleetServer with concurrent clients — so the
+// value of micro-batching is a single JSON diff. Emits the
+// bench_parallel_kernels JSON schema so CI can gate it with
+// tools/compare_bench.py:
 //
 //   {"hardware_concurrency": N,
 //    "results": [{"kernel": "serve_seq_b1", "threads": T,
@@ -21,8 +22,9 @@
 #include <vector>
 
 #include "data/dataset_registry.h"
-#include "serve/batching_queue.h"
+#include "serve/fleet_server.h"
 #include "util/env.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 #include "util/metrics.h"
 
@@ -125,10 +127,15 @@ int Main() {
     }
   }
 
-  // The real serving path: concurrent clients through the BatchingQueue.
+  // The real serving path: concurrent clients through a one-tenant fleet.
+  const std::string key =
+      serve::MakeTenantKey(config.model_name, config.window.pred_len);
+  serve::TenantSpec spec;
+  spec.session = config;
+  spec.queue = {.max_batch_size = 8, .max_queue_delay_us = 500};
   {
-    serve::BatchingQueue queue(session.get(),
-                               {.max_batch_size = 8, .max_queue_delay_us = 500});
+    serve::FleetServer fleet({.num_dispatchers = 1});
+    CONFORMER_CHECK(fleet.AddTenant(key, spec).ok());
     const int64_t kClients = 4;
     rows.push_back({"serve_queue_b8", threads,
                     MeasureSeriesPerSec(kRequests, [&] {
@@ -138,7 +145,7 @@ int Main() {
                           std::vector<std::future<Result<serve::Forecast>>>
                               futures;
                           for (int64_t r = c; r < kRequests; r += kClients) {
-                            futures.push_back(queue.Submit(singles[r]));
+                            futures.push_back(fleet.Submit(key, singles[r]));
                           }
                           for (auto& f : futures) f.get();
                         });
@@ -167,14 +174,13 @@ int Main() {
                                                               // the queue path
       capacity = std::max(capacity, row.ops_per_sec);
     }
-    serve::BatchingQueue queue(session.get(),
-                               {.max_batch_size = 8,
-                                .max_queue_delay_us = 500,
-                                .max_queue_depth = 16});
+    spec.queue.max_queue_depth = 16;
+    serve::FleetServer fleet({.num_dispatchers = 1});
+    CONFORMER_CHECK(fleet.AddTenant(key, spec).ok());
     const auto interarrival =
         std::chrono::nanoseconds(static_cast<int64_t>(1e9 / (2.0 * capacity)));
     const int64_t deadline_us = static_cast<int64_t>(16 * 1e6 / capacity);
-    session->Predict(singles[0]);  // Untimed warm-up.
+    fleet.session(key)->Predict(singles[0]);  // Untimed warm-up.
 
     int64_t submitted = 0, delivered = 0, shed = 0, rejected = 0;
     std::vector<std::future<Result<serve::Forecast>>> futures;
@@ -184,7 +190,7 @@ int Main() {
     do {
       std::this_thread::sleep_until(next_arrival);
       next_arrival += interarrival;
-      futures.push_back(queue.Submit(singles[submitted % kRequests],
+      futures.push_back(fleet.Submit(key, singles[submitted % kRequests],
                                      {.deadline_us = deadline_us}));
       ++submitted;
       elapsed = std::chrono::duration<double>(Clock::now() - start).count();
@@ -199,7 +205,7 @@ int Main() {
         ++rejected;
       }
     }
-    queue.Shutdown();
+    fleet.Shutdown();
     const double total =
         std::chrono::duration<double>(Clock::now() - start).count();
     rows.push_back({"serve_overload_goodput_b8", threads,

@@ -177,7 +177,7 @@ void FleetServer::DispatchLoop() {
     if (claimed != nullptr) {
       TenantQueue* queue = claimed->queue.get();
       lock.unlock();
-      queue->ServeOnce(drain);
+      queue->ServeOnce();
       lock.lock();
       claimed->in_service = false;
       // The tenant may still be backlogged, and the shutdown path below

@@ -1,4 +1,4 @@
-#include "serve/batching_queue.h"
+#include "serve/tenant_queue.h"
 
 #include <algorithm>
 #include <chrono>
@@ -16,6 +16,12 @@ namespace conformer::serve {
 namespace {
 
 metrics::Registry& Registry() { return metrics::Registry::Global(); }
+
+bool AllFinite(const Tensor& tensor) {
+  const float* values = tensor.data();
+  return std::all_of(values, values + tensor.numel(),
+                     [](float v) { return std::isfinite(v); });
+}
 
 // Full-geometry admission check against the session's window. Every
 // dimension the merge path (Concat along dim 0) and the model forward will
@@ -70,15 +76,21 @@ Status ValidateRequest(const data::Batch& request,
                 {request.y, "y"},
                 {request.y_mark, "y_mark"}};
   for (const auto& field : inputs) {
-    const float* values = field.tensor.data();
-    if (!std::all_of(values, values + field.tensor.numel(),
-                     [](float v) { return std::isfinite(v); })) {
+    if (!AllFinite(field.tensor)) {
       Registry().GetCounter("serve.rejected_nonfinite").Increment();
       return Status::InvalidArgument(std::string("request ") + field.name +
                                      " contains NaN or Inf");
     }
   }
   return Status::OK();
+}
+
+std::string TenantMetric(const std::string& key, const char* name) {
+  return "serve.tenant." + key + "." + name;
+}
+
+metrics::Counter& TenantCounter(const std::string& key, const char* name) {
+  return Registry().GetCounter(TenantMetric(key, name));
 }
 
 QueueConfig Sanitize(QueueConfig config) {
@@ -92,49 +104,44 @@ QueueConfig Sanitize(QueueConfig config) {
 }  // namespace
 
 TenantQueue::TenantQueue(InferenceSession* session, QueueConfig config,
-                         std::string tenant_key,
+                         const std::string& tenant_key,
                          std::function<void()> on_work)
     : session_(session),
       config_(Sanitize(config)),
-      tenant_key_(std::move(tenant_key)),
+      tenant_key_(tenant_key),
       on_work_(std::move(on_work)),
       requests_(Registry().GetCounter("serve.requests")),
       rejected_(Registry().GetCounter("serve.rejected")),
-      shed_(Registry().GetCounter("serve.shed_expired")) {
+      shed_(Registry().GetCounter("serve.shed_expired")),
+      tenant_requests_(TenantCounter(tenant_key, "requests")),
+      tenant_rejected_(TenantCounter(tenant_key, "rejected")),
+      tenant_shed_(TenantCounter(tenant_key, "shed_expired")),
+      tenant_batches_(TenantCounter(tenant_key, "batches")),
+      tenant_batch_failures_(TenantCounter(tenant_key, "batch_failures")),
+      tenant_circuit_opens_(TenantCounter(tenant_key, "circuit_opens")),
+      tenant_depth_(
+          Registry().GetGauge(TenantMetric(tenant_key, "queue_depth"))),
+      tenant_latency_(Registry().GetHistogram(
+          TenantMetric(tenant_key, "request_latency_seconds"))) {
   CONFORMER_CHECK(session_ != nullptr);
-  if (!tenant_key_.empty()) {
-    const std::string prefix = "serve.tenant." + tenant_key_ + ".";
-    tenant_requests_ = &Registry().GetCounter(prefix + "requests");
-    tenant_rejected_ = &Registry().GetCounter(prefix + "rejected");
-    tenant_shed_ = &Registry().GetCounter(prefix + "shed_expired");
-    tenant_batches_ = &Registry().GetCounter(prefix + "batches");
-    tenant_batch_failures_ = &Registry().GetCounter(prefix + "batch_failures");
-    tenant_circuit_opens_ = &Registry().GetCounter(prefix + "circuit_opens");
-    tenant_depth_ = &Registry().GetGauge(prefix + "queue_depth");
-    tenant_latency_ =
-        &Registry().GetHistogram(prefix + "request_latency_seconds");
-  }
-}
-
-void TenantQueue::NotifyWork() {
-  if (on_work_) on_work_();
+  CONFORMER_CHECK(on_work_ != nullptr);
 }
 
 void TenantQueue::CountRejected() {
   rejected_.Increment();
-  if (tenant_rejected_ != nullptr) tenant_rejected_->Increment();
+  tenant_rejected_.Increment();
 }
 
 void TenantQueue::SetDepthLocked() {
   const double depth = static_cast<double>(queue_.size());
   Registry().GetGauge("serve.queue_depth").Set(depth);
-  if (tenant_depth_ != nullptr) tenant_depth_->Set(depth);
+  tenant_depth_.Set(depth);
 }
 
 std::future<Result<Forecast>> TenantQueue::Submit(data::Batch request,
                                                   RequestOptions options) {
   requests_.Increment();
-  if (tenant_requests_ != nullptr) tenant_requests_->Increment();
+  tenant_requests_.Increment();
   Pending pending;
   std::future<Result<Forecast>> future = pending.promise.get_future();
 
@@ -183,7 +190,7 @@ std::future<Result<Forecast>> TenantQueue::Submit(data::Batch request,
     queue_.push_back(std::move(pending));
     SetDepthLocked();
   }
-  NotifyWork();
+  on_work_();
   return future;
 }
 
@@ -192,12 +199,7 @@ void TenantQueue::BeginShutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  NotifyWork();
-}
-
-bool TenantQueue::shutdown_requested() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return shutdown_;
+  on_work_();
 }
 
 int64_t TenantQueue::pending() const {
@@ -216,7 +218,7 @@ void TenantQueue::ResetCircuitBreaker() {
     circuit_open_ = false;
     consecutive_failures_ = 0;
   }
-  NotifyWork();
+  on_work_();
 }
 
 void TenantQueue::DrainAndRejectLocked(const Status& status) {
@@ -245,7 +247,7 @@ TenantQueue::DispatchState TenantQueue::Peek() const {
   return state;
 }
 
-bool TenantQueue::ServeOnce(bool drain) {
+bool TenantQueue::ServeOnce() {
   std::unique_lock<std::mutex> lock(mu_);
   if (circuit_open_) {
     // Tripped: drain-and-reject instead of looping hot on a broken model.
@@ -257,17 +259,6 @@ bool TenantQueue::ServeOnce(bool drain) {
   }
   if (queue_.empty()) return false;
   const int64_t now_ns = prof::internal::NowNs();
-  if (!drain && !shutdown_ && config_.max_queue_delay_us > 0) {
-    // Hold an underfull batch open until the configured delay after its
-    // oldest request; the dispatcher re-arms a timed wait off Peek().
-    int64_t series = 0;
-    for (const Pending& p : queue_) series += p.batch.size();
-    if (series < config_.max_batch_size &&
-        now_ns - queue_.front().enqueue_ns <
-            config_.max_queue_delay_us * 1000) {
-      return false;
-    }
-  }
 
   // Pop the longest prefix that fits max_batch_size series; the first
   // request always ships, even if alone it exceeds the cap. Requests whose
@@ -295,7 +286,7 @@ bool TenantQueue::ServeOnce(bool drain) {
 
   for (Pending& p : shed) {
     shed_.Increment();
-    if (tenant_shed_ != nullptr) tenant_shed_->Increment();
+    tenant_shed_.Increment();
     p.promise.set_value(Result<Forecast>(Status::DeadlineExceeded(
         "deadline passed before dispatch; request shed")));
   }
@@ -335,139 +326,89 @@ bool TenantQueue::ServeOnce(bool drain) {
   const int64_t end_ns = prof::internal::NowNs();
 
   metrics::Registry& registry = Registry();
-  if (!failure.ok()) {
+  bool batch_failed = !failure.ok();
+  if (batch_failed) {
     CONFORMER_LOG(Warning) << "serving batch of " << series
                            << " series failed: " << failure.ToString();
     registry.GetCounter("serve.batch_failures").Increment();
-    if (tenant_batch_failures_ != nullptr) tenant_batch_failures_->Increment();
+    tenant_batch_failures_.Increment();
     for (Pending& p : taken) {
       p.promise.set_value(Result<Forecast>(failure));
     }
-    lock.lock();
-    ++consecutive_failures_;
-    if (config_.circuit_breaker_failures > 0 &&
-        consecutive_failures_ >= config_.circuit_breaker_failures &&
-        !circuit_open_) {
-      circuit_open_ = true;
-      registry.GetCounter("serve.circuit_opens").Increment();
-      if (tenant_circuit_opens_ != nullptr) {
-        tenant_circuit_opens_->Increment();
+  } else {
+    int64_t offset = 0;
+    for (Pending& p : taken) {
+      const int64_t rows = p.batch.size();
+      Forecast slice;
+      if (taken.size() == 1) {
+        slice = merged;
+      } else {
+        slice.point = Slice(merged.point, 0, offset, offset + rows);
+        if (merged.lower.defined()) {
+          slice.lower = Slice(merged.lower, 0, offset, offset + rows);
+          slice.upper = Slice(merged.upper, 0, offset, offset + rows);
+        }
       }
-      CONFORMER_LOG(Error) << "serving circuit breaker open after "
-                           << consecutive_failures_
-                           << " consecutive batch failures"
-                           << (tenant_key_.empty() ? ""
-                                                   : " (tenant " +
-                                                         tenant_key_ + ")");
-      DrainAndRejectLocked(Status::Unavailable(
-          "circuit breaker open after consecutive batch failures"));
-    }
-    return true;
-  }
-
-  int64_t offset = 0;
-  for (Pending& p : taken) {
-    const int64_t rows = p.batch.size();
-    Forecast slice;
-    if (taken.size() == 1) {
-      slice = merged;
-    } else {
-      slice.point = Slice(merged.point, 0, offset, offset + rows);
-      if (merged.lower.defined()) {
-        slice.lower = Slice(merged.lower, 0, offset, offset + rows);
-        slice.upper = Slice(merged.upper, 0, offset, offset + rows);
+      offset += rows;
+      // A model that overflows or divides by zero returns NaN/Inf with no
+      // exception: fail that request alone (its neighbours' rows are
+      // independent and still correct) and count the batch toward the
+      // breaker below, so a model emitting garbage trips it.
+      if (!AllFinite(slice.point) ||
+          (slice.lower.defined() &&
+           !(AllFinite(slice.lower) && AllFinite(slice.upper)))) {
+        batch_failed = true;
+        registry.GetCounter("serve.failed_nonfinite").Increment();
+        p.promise.set_value(Result<Forecast>(
+            Status::Internal("model produced a non-finite forecast")));
+        continue;
       }
+      if (p.deadline_ns > 0) {
+        // Slack still on the clock when the result was ready; a request
+        // that completed past its deadline (dispatched in time, served
+        // slow) records zero.
+        registry.GetHistogram("serve.deadline_slack_seconds")
+            .Observe(std::max(
+                0.0, static_cast<double>(p.deadline_ns - end_ns) * 1e-9));
+      }
+      p.promise.set_value(Result<Forecast>(std::move(slice)));
+      const double latency =
+          static_cast<double>(end_ns - p.enqueue_ns) * 1e-9;
+      registry.GetHistogram("serve.request_latency_seconds").Observe(latency);
+      tenant_latency_.Observe(latency);
     }
-    offset += rows;
-    if (p.deadline_ns > 0) {
-      // Slack still on the clock when the result was ready; a request that
-      // completed past its deadline (dispatched in time, served slow)
-      // records zero.
-      registry.GetHistogram("serve.deadline_slack_seconds")
-          .Observe(std::max(0.0,
-                            static_cast<double>(p.deadline_ns - end_ns) * 1e-9));
-    }
-    p.promise.set_value(Result<Forecast>(std::move(slice)));
-    const double latency = static_cast<double>(end_ns - p.enqueue_ns) * 1e-9;
-    registry.GetHistogram("serve.request_latency_seconds").Observe(latency);
-    if (tenant_latency_ != nullptr) tenant_latency_->Observe(latency);
-  }
 
-  registry.GetCounter("serve.batches").Increment();
-  if (tenant_batches_ != nullptr) tenant_batches_->Increment();
-  registry.GetHistogram("serve.batch_size",
-                        {1, 2, 4, 8, 16, 32, 64, 128})
-      .Observe(static_cast<double>(series));
-  registry.GetGauge("serve.batch_occupancy")
-      .Set(static_cast<double>(series) /
-           static_cast<double>(config_.max_batch_size));
-  registry.GetHistogram("serve.batch_latency_seconds")
-      .Observe(static_cast<double>(end_ns - start_ns) * 1e-9);
+    registry.GetCounter("serve.batches").Increment();
+    tenant_batches_.Increment();
+    registry.GetHistogram("serve.batch_size", {1, 2, 4, 8, 16, 32, 64, 128})
+        .Observe(static_cast<double>(series));
+    registry.GetGauge("serve.batch_occupancy")
+        .Set(static_cast<double>(series) /
+             static_cast<double>(config_.max_batch_size));
+    registry.GetHistogram("serve.batch_latency_seconds")
+        .Observe(static_cast<double>(end_ns - start_ns) * 1e-9);
+  }
 
   lock.lock();
-  consecutive_failures_ = 0;
-  return true;
-}
-
-BatchingQueue::BatchingQueue(InferenceSession* session, QueueConfig config)
-    : core_(session, config, "", [this] {
-        {
-          // Taking the wake mutex (even empty-handed) closes the race with
-          // a dispatcher that just Peek()ed an empty queue and is about to
-          // wait: the notify below cannot fire between its check and its
-          // wait.
-          std::lock_guard<std::mutex> lock(wake_mu_);
-        }
-        wake_cv_.notify_all();
-      }) {
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-BatchingQueue::~BatchingQueue() { Shutdown(); }
-
-std::future<Result<Forecast>> BatchingQueue::Submit(data::Batch request,
-                                                    RequestOptions options) {
-  return core_.Submit(std::move(request), std::move(options));
-}
-
-void BatchingQueue::Shutdown() {
-  core_.BeginShutdown();
-  // Exactly one caller joins; concurrent callers block here until the
-  // dispatcher has stopped, so Shutdown() returning always means "queue
-  // fully drained and dispatcher gone" for every caller.
-  std::call_once(join_once_, [this] {
-    if (dispatcher_.joinable()) dispatcher_.join();
-  });
-}
-
-int64_t BatchingQueue::pending() const { return core_.pending(); }
-
-bool BatchingQueue::circuit_open() const { return core_.circuit_open(); }
-
-void BatchingQueue::ResetCircuitBreaker() { core_.ResetCircuitBreaker(); }
-
-void BatchingQueue::DispatchLoop() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  while (true) {
-    const TenantQueue::DispatchState state = core_.Peek();
-    const bool drain = core_.shutdown_requested();
-    if (!state.has_work) {
-      if (drain) return;
-      wake_cv_.wait(lock);
-      continue;
-    }
-    const int64_t now_ns = prof::internal::NowNs();
-    if (!drain && state.ripe_at_ns > now_ns) {
-      // Underfull batch: hold it open for company until the coalescing
-      // delay elapses (or a Submit/Shutdown wakes us to re-check).
-      wake_cv_.wait_for(lock,
-                        std::chrono::nanoseconds(state.ripe_at_ns - now_ns));
-      continue;
-    }
-    lock.unlock();
-    core_.ServeOnce(drain);
-    lock.lock();
+  if (!batch_failed) {
+    consecutive_failures_ = 0;
+    return true;
   }
+  ++consecutive_failures_;
+  if (config_.circuit_breaker_failures > 0 &&
+      consecutive_failures_ >= config_.circuit_breaker_failures &&
+      !circuit_open_) {
+    circuit_open_ = true;
+    registry.GetCounter("serve.circuit_opens").Increment();
+    tenant_circuit_opens_.Increment();
+    CONFORMER_LOG(Error) << "serving circuit breaker open after "
+                         << consecutive_failures_
+                         << " consecutive batch failures (tenant "
+                         << tenant_key_ << ")";
+    DrainAndRejectLocked(Status::Unavailable(
+        "circuit breaker open after consecutive batch failures"));
+  }
+  return true;
 }
 
 }  // namespace conformer::serve

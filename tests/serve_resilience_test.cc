@@ -1,9 +1,11 @@
 // Serving resilience chaos suite (docs/SERVING.md, "Overload & failure
-// policy"). Proves the three containment properties of ISSUE 8 with
-// injected faults:
+// policy"). Proves the serving containment properties with injected faults;
+// queued traffic goes through a one-tenant FleetServer, the single-model
+// serving setup:
 //   (a) a throwing Predict fails only its own batch's futures and the queue
-//       serves the next batch successfully (plus the consecutive-failure
-//       circuit breaker),
+//       serves the next batch successfully, a non-finite forecast fails
+//       only its own request (plus the consecutive-failure circuit
+//       breaker, which both kinds of failure trip),
 //   (b) requests past their deadline are shed without running the model
 //       while within-deadline requests stay bitwise identical to the
 //       unloaded path (plus bounded admission),
@@ -19,24 +21,23 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "baselines/linear_forecaster.h"
 #include "baselines/registry.h"
 #include "data/dataset_registry.h"
 #include "data/time_features.h"
-#include "serve/batching_queue.h"
 #include "serve/fault_injector.h"
 #include "serve/fleet_server.h"
 #include "serve/inference_session.h"
@@ -101,33 +102,31 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::Uninstall(); }
 };
 
-/// A registry baseline whose Forward throws on demand — the containment
-/// tests' broken model. Counting forward calls proves shed/rejected
-/// requests never reach the model.
-class FlakyLinear : public models::LinearForecaster {
- public:
-  FlakyLinear(data::WindowConfig window, int64_t dims)
-      : LinearForecaster(window, dims) {}
-
-  Tensor Forward(const data::Batch& batch) const override {
-    forward_calls.fetch_add(1);
-    if (armed.load()) {
-      throw std::runtime_error("flaky model forward");
-    }
-    return LinearForecaster::Forward(batch);
-  }
-
-  mutable std::atomic<int64_t> forward_calls{0};
-  std::atomic<bool> armed{false};
-};
-
-Result<std::unique_ptr<InferenceSession>> OpenLinearSession(
-    const data::DatasetSplits& splits) {
+SessionConfig LinearConfig(const data::DatasetSplits& splits) {
   SessionConfig config;
   config.model_name = "linear";
   config.window = TestWindow();
   config.dims = splits.test.dims();
-  return InferenceSession::Open(config, "");
+  return config;
+}
+
+Result<std::unique_ptr<InferenceSession>> OpenLinearSession(
+    const data::DatasetSplits& splits) {
+  return InferenceSession::Open(LinearConfig(splits), "");
+}
+
+/// Serves the linear model the way a single-model deployment does: as the
+/// one tenant (keyed linear@pred_len) of a one-dispatcher fleet. Returns
+/// the tenant key.
+std::string AddLinearTenant(FleetServer* fleet,
+                            const data::DatasetSplits& splits,
+                            QueueConfig queue) {
+  TenantSpec spec;
+  spec.session = LinearConfig(splits);
+  spec.queue = queue;
+  const std::string key = MakeTenantKey("linear", TestWindow().pred_len);
+  EXPECT_TRUE(fleet->AddTenant(key, spec).ok());
+  return key;
 }
 
 /// Trains a linear model briefly and publishes it as a checkpoint
@@ -193,25 +192,25 @@ TEST(FaultInjectorTest, InjectsThrowsAndStallsIntoPredict) {
   EXPECT_EQ(CounterValue("serve.injected_stalls"), stalls_before + 1);
 }
 
-// -- Shutdown (satellites 1 + 2) -------------------------------------------
+// -- Shutdown ----------------------------------------------------------------
 
 TEST(ShutdownTest, ConcurrentShutdownCallersAreSafe) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
 
-  // Repeat to give tsan / the double-join race a real chance to fire: both
-  // threads used to observe dispatcher_.joinable() and join twice.
+  // Repeat to give tsan / a double-join race a real chance to fire: every
+  // caller must return only once the dispatcher has stopped, and exactly
+  // one may join it.
   for (int round = 0; round < 8; ++round) {
-    BatchingQueue queue(session.value().get(),
-                        {.max_batch_size = 4, .max_queue_delay_us = 500});
+    FleetServer fleet({.num_dispatchers = 1});
+    const std::string key = AddLinearTenant(
+        &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 500});
     std::vector<std::future<Result<Forecast>>> futures;
     for (int64_t r = 0; r < 3; ++r) {
-      futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+      futures.push_back(fleet.Submit(key, splits.test.GetRange(r, 1)));
     }
     std::vector<std::thread> closers;
     for (int t = 0; t < 4; ++t) {
-      closers.emplace_back([&queue] { queue.Shutdown(); });
+      closers.emplace_back([&fleet] { fleet.Shutdown(); });
     }
     for (std::thread& t : closers) t.join();
     // Every pre-shutdown request completed (drain semantics).
@@ -219,23 +218,21 @@ TEST(ShutdownTest, ConcurrentShutdownCallersAreSafe) {
       Result<Forecast> result = f.get();
       ASSERT_TRUE(result.ok()) << result.status().ToString();
     }
-    EXPECT_EQ(queue.pending(), 0);
+    EXPECT_EQ(fleet.pending(key), 0);
   }
 }
 
 TEST(ShutdownTest, SubmitAfterShutdownRejectsGracefully) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
-  queue.Shutdown();
-  queue.Shutdown();  // Idempotent.
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 0});
+  fleet.Shutdown();
+  fleet.Shutdown();  // Idempotent.
 
   const int64_t rejected_before = CounterValue("serve.rejected");
   std::future<Result<Forecast>> future =
-      queue.Submit(splits.test.GetRange(0, 1));
+      fleet.Submit(key, splits.test.GetRange(0, 1));
   // Refused at admission: already resolved, nobody had to dispatch it.
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
@@ -245,24 +242,23 @@ TEST(ShutdownTest, SubmitAfterShutdownRejectsGracefully) {
   EXPECT_EQ(CounterValue("serve.rejected"), rejected_before + 1);
 }
 
-// -- Admission (tentpole 1) ------------------------------------------------
+// -- Admission ---------------------------------------------------------------
 
 TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 0});
 
   // Empty batch.
-  EXPECT_EQ(queue.Submit(data::Batch{}).get().status().code(),
+  EXPECT_EQ(fleet.Submit(key, data::Batch{}).get().status().code(),
             StatusCode::kInvalidArgument);
 
   // Wrong window geometry (input_len 12 != the session's 24).
   data::TimeSeries series = data::MakeDataset("etth1", 0.05).value();
   data::DatasetSplits short_splits = data::MakeSplits(
       series, {.input_len = 12, .label_len = 4, .pred_len = 4});
-  EXPECT_EQ(queue.Submit(short_splits.test.GetRange(0, 1)).get()
+  EXPECT_EQ(fleet.Submit(key, short_splits.test.GetRange(0, 1)).get()
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -274,7 +270,7 @@ TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   const int64_t dims = splits.test.dims();
   const int64_t decoder_len = TestWindow().label_len + TestWindow().pred_len;
   const auto expect_rejected = [&](const data::Batch& bad) {
-    std::future<Result<Forecast>> future = queue.Submit(bad);
+    std::future<Result<Forecast>> future = fleet.Submit(key, bad);
     // Refused at admission: resolved without touching the dispatcher.
     ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
@@ -313,15 +309,14 @@ TEST(AdmissionTest, MalformedRequestsRejectedNotCrashed) {
   }
 
   // The queue survived every malformed request: a well-formed one serves.
-  Result<Forecast> served = queue.Submit(good).get();
+  Result<Forecast> served = fleet.Submit(key, good).get();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  queue.Shutdown();
+  fleet.Shutdown();
 }
 
 TEST(AdmissionTest, NonFiniteRequestsRejectedNeighboursUnchanged) {
-  // A NaN or Inf anywhere in a request is refused at admission through
-  // both front doors; a valid request submitted alongside is served
-  // bitwise as if it were alone.
+  // A NaN or Inf anywhere in a request is refused at admission; a valid
+  // request submitted alongside is served bitwise as if it were alone.
   data::DatasetSplits splits = MakeTestSplits();
   const data::Batch neighbour = splits.test.GetRange(1, 1);
   data::Batch nan_row = splits.test.GetRange(0, 1);
@@ -330,69 +325,50 @@ TEST(AdmissionTest, NonFiniteRequestsRejectedNeighboursUnchanged) {
   data::Batch inf_row = splits.test.GetRange(2, 1);
   inf_row.y = inf_row.y.Clone();
   inf_row.y.data()[5] = std::numeric_limits<float>::infinity();
-
-  using Submit =
-      std::function<std::future<Result<Forecast>>(const data::Batch&)>;
-  const auto expect_isolated = [&](const Submit& submit,
-                                   const Tensor& reference) {
-    std::future<Result<Forecast>> nan_future = submit(nan_row);
-    std::future<Result<Forecast>> good_future = submit(neighbour);
-    std::future<Result<Forecast>> inf_future = submit(inf_row);
-    for (auto* future : {&nan_future, &inf_future}) {
-      ASSERT_EQ(future->wait_for(std::chrono::seconds(0)),
-                std::future_status::ready);
-      EXPECT_EQ(future->get().status().code(), StatusCode::kInvalidArgument);
-    }
-    Result<Forecast> served = good_future.get();
-    ASSERT_TRUE(served.ok()) << served.status().ToString();
-    ExpectTensorsBitwiseEqual(served.value().point, reference,
-                              "neighbour of non-finite requests");
-  };
   const int64_t nonfinite_before = CounterValue("serve.rejected_nonfinite");
 
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 1000});
-  expect_isolated([&](const data::Batch& b) { return queue.Submit(b); },
-                  session.value()->Predict(neighbour).point);
-  queue.Shutdown();
-
-  FleetServer fleet;
-  TenantSpec spec;
-  spec.session = session.value()->config();
-  spec.queue = {.max_batch_size = 4, .max_queue_delay_us = 1000};
-  ASSERT_TRUE(fleet.AddTenant("linear@8", spec).ok());
-  expect_isolated(
-      [&](const data::Batch& b) { return fleet.Submit("linear@8", b); },
-      fleet.session("linear@8")->Predict(neighbour).point);
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 1000});
+  const Tensor reference = fleet.session(key)->Predict(neighbour).point;
+  std::future<Result<Forecast>> nan_future = fleet.Submit(key, nan_row);
+  std::future<Result<Forecast>> good_future = fleet.Submit(key, neighbour);
+  std::future<Result<Forecast>> inf_future = fleet.Submit(key, inf_row);
+  for (auto* future : {&nan_future, &inf_future}) {
+    ASSERT_EQ(future->wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(future->get().status().code(), StatusCode::kInvalidArgument);
+  }
+  Result<Forecast> served = good_future.get();
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectTensorsBitwiseEqual(served.value().point, reference,
+                            "neighbour of non-finite requests");
   fleet.Shutdown();
 
-  EXPECT_EQ(CounterValue("serve.rejected_nonfinite"), nonfinite_before + 4);
+  EXPECT_EQ(CounterValue("serve.rejected_nonfinite"), nonfinite_before + 2);
 }
 
 TEST(AdmissionTest, BoundedQueueRejectsOverCapacityImmediately) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-
-  BatchingQueue queue(session.value().get(),
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key =
+      AddLinearTenant(&fleet, splits,
                       {.max_batch_size = 1,
                        .max_queue_delay_us = 0,
                        .max_queue_depth = 2});
   GateGuard gate;  // Blocks the dispatcher inside Predict.
 
   std::vector<std::future<Result<Forecast>>> accepted;
-  accepted.push_back(queue.Submit(splits.test.GetRange(0, 1)));
+  accepted.push_back(fleet.Submit(key, splits.test.GetRange(0, 1)));
   // The dispatcher picks up the first request and blocks at the gate.
-  ASSERT_TRUE(WaitFor([&] { return queue.pending() == 0; }));
-  accepted.push_back(queue.Submit(splits.test.GetRange(1, 1)));
-  accepted.push_back(queue.Submit(splits.test.GetRange(2, 1)));
-  ASSERT_EQ(queue.pending(), 2);
+  ASSERT_TRUE(WaitFor([&] { return fleet.pending(key) == 0; }));
+  accepted.push_back(fleet.Submit(key, splits.test.GetRange(1, 1)));
+  accepted.push_back(fleet.Submit(key, splits.test.GetRange(2, 1)));
+  ASSERT_EQ(fleet.pending(key), 2);
 
   const int64_t rejected_before = CounterValue("serve.rejected");
   std::future<Result<Forecast>> overflow =
-      queue.Submit(splits.test.GetRange(3, 1));
+      fleet.Submit(key, splits.test.GetRange(3, 1));
   ASSERT_EQ(overflow.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   EXPECT_EQ(overflow.get().status().code(), StatusCode::kResourceExhausted);
@@ -403,31 +379,30 @@ TEST(AdmissionTest, BoundedQueueRejectsOverCapacityImmediately) {
     Result<Forecast> result = f.get();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
   }
-  queue.Shutdown();
+  fleet.Shutdown();
 }
 
-// -- Deadlines (tentpole 1, acceptance b) ----------------------------------
+// -- Deadlines ---------------------------------------------------------------
 
 TEST(DeadlineTest, ExpiredRequestsShedWithoutModelTime) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 8, .max_queue_delay_us = 0});
   const data::Batch batch_c = splits.test.GetRange(2, 1);
-  const Tensor unloaded = session.value()->Predict(batch_c).point;
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 8, .max_queue_delay_us = 0});
+  const Tensor unloaded = fleet.session(key)->Predict(batch_c).point;
   GateGuard gate;
 
-  std::future<Result<Forecast>> a = queue.Submit(splits.test.GetRange(0, 1));
-  ASSERT_TRUE(WaitFor([&] { return queue.pending() == 0; }));
+  std::future<Result<Forecast>> a =
+      fleet.Submit(key, splits.test.GetRange(0, 1));
+  ASSERT_TRUE(WaitFor([&] { return fleet.pending(key) == 0; }));
 
   // B's 1ms deadline lapses while the dispatcher is stuck serving A; C has
   // ten seconds of slack and must be untouched by the shedding around it.
-  std::future<Result<Forecast>> b = queue.Submit(
-      splits.test.GetRange(1, 1), {.deadline_us = 1000});
+  std::future<Result<Forecast>> b = fleet.Submit(
+      key, splits.test.GetRange(1, 1), {.deadline_us = 1000});
   std::future<Result<Forecast>> c =
-      queue.Submit(batch_c, {.deadline_us = 10 * 1000 * 1000});
+      fleet.Submit(key, batch_c, {.deadline_us = 10 * 1000 * 1000});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   const int64_t predicts_before = CounterValue("serve.predicts");
@@ -455,115 +430,147 @@ TEST(DeadlineTest, ExpiredRequestsShedWithoutModelTime) {
                 .GetSnapshot()
                 .count,
             slack_before);
-  queue.Shutdown();
+  fleet.Shutdown();
 }
 
 TEST(DeadlineTest, HugeDeadlineSaturatesInsteadOfOverflowing) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 0});
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 0});
 
   // INT64_MAX microseconds used to overflow the absolute nanosecond
   // deadline (signed overflow, UB; in practice a negative deadline_ns that
   // silently disabled shedding). It must saturate to "effectively never"
   // and the request must serve normally.
   Result<Forecast> result =
-      queue.Submit(splits.test.GetRange(0, 1),
+      fleet.Submit(key, splits.test.GetRange(0, 1),
                    {.deadline_us = std::numeric_limits<int64_t>::max()})
           .get();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  queue.Shutdown();
+  fleet.Shutdown();
 }
 
-// -- Fault containment (tentpole 2, acceptance a, satellite 3) -------------
+// -- Fault containment -------------------------------------------------------
 
 TEST(ContainmentTest, ThrowingForwardFailsOnlyItsBatch) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto flaky_owner =
-      std::make_unique<FlakyLinear>(TestWindow(), splits.test.dims());
-  FlakyLinear* flaky = flaky_owner.get();
-
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, std::move(flaky_owner));
-  ASSERT_TRUE(session.ok());
-
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 20 * 1000});
   const data::Batch batch_ok = splits.test.GetRange(2, 1);
-  const Tensor reference = session.value()->Predict(batch_ok).point;
-
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 20 * 1000});
+  const Tensor reference = fleet.session(key)->Predict(batch_ok).point;
   const int64_t failures_before = CounterValue("serve.batch_failures");
 
-  // Two requests coalesce into one doomed batch: both futures must carry
-  // the error, and nothing else may be affected.
-  flaky->armed.store(true);
-  std::future<Result<Forecast>> f1 = queue.Submit(splits.test.GetRange(0, 1));
-  std::future<Result<Forecast>> f2 = queue.Submit(splits.test.GetRange(1, 1));
-  Result<Forecast> r1 = f1.get();  // get() never throws: no broken promises.
-  Result<Forecast> r2 = f2.get();
-  EXPECT_FALSE(r1.ok());
-  EXPECT_FALSE(r2.ok());
-  EXPECT_EQ(r1.status().code(), StatusCode::kInternal);
-  EXPECT_NE(r1.status().message().find("flaky model forward"),
-            std::string::npos);
-  EXPECT_EQ(CounterValue("serve.batch_failures"), failures_before + 1);
+  {
+    // The injector throws inside the tenant's Predict, within the queue's
+    // containment boundary. Two requests coalesce into one doomed batch:
+    // both futures must carry the error, and nothing else may be affected.
+    InjectorGuard injector({.throw_every = 1, .scope = key});
+    std::future<Result<Forecast>> f1 =
+        fleet.Submit(key, splits.test.GetRange(0, 1));
+    std::future<Result<Forecast>> f2 =
+        fleet.Submit(key, splits.test.GetRange(1, 1));
+    Result<Forecast> r1 = f1.get();  // get() never throws: no broken promises.
+    Result<Forecast> r2 = f2.get();
+    EXPECT_EQ(r1.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(r2.status().code(), StatusCode::kInternal);
+    EXPECT_NE(r1.status().message().find("injected Predict fault"),
+              std::string::npos);
+    EXPECT_EQ(CounterValue("serve.batch_failures"), failures_before + 1);
+  }
 
   // The queue keeps serving: the very next batch succeeds bitwise.
-  flaky->armed.store(false);
-  Result<Forecast> healed = queue.Submit(batch_ok).get();
+  Result<Forecast> healed = fleet.Submit(key, batch_ok).get();
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   ExpectTensorsBitwiseEqual(healed.value().point, reference,
                             "batch after contained failure");
-  EXPECT_FALSE(queue.circuit_open());
-  queue.Shutdown();
+  EXPECT_FALSE(fleet.circuit_open(key));
+  fleet.Shutdown();
 }
 
 TEST(ContainmentTest, CircuitBreakerTripsDrainsAndRejects) {
   data::DatasetSplits splits = MakeTestSplits();
-  auto flaky_owner =
-      std::make_unique<FlakyLinear>(TestWindow(), splits.test.dims());
-  FlakyLinear* flaky = flaky_owner.get();
-  flaky->armed.store(true);
-
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, std::move(flaky_owner));
-  ASSERT_TRUE(session.ok());
-
-  const int64_t opens_before = CounterValue("serve.circuit_opens");
-  BatchingQueue queue(session.value().get(),
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key =
+      AddLinearTenant(&fleet, splits,
                       {.max_batch_size = 1,
                        .max_queue_delay_us = 0,
                        .circuit_breaker_failures = 2});
+  const int64_t opens_before = CounterValue("serve.circuit_opens");
 
-  EXPECT_FALSE(queue.Submit(splits.test.GetRange(0, 1)).get().ok());
-  EXPECT_FALSE(queue.Submit(splits.test.GetRange(1, 1)).get().ok());
-  ASSERT_TRUE(WaitFor([&] { return queue.circuit_open(); }));
-  EXPECT_EQ(CounterValue("serve.circuit_opens"), opens_before + 1);
-  const int64_t forwards_at_trip = flaky->forward_calls.load();
+  {
+    InjectorGuard injector({.throw_every = 1, .scope = key});
+    EXPECT_FALSE(fleet.Submit(key, splits.test.GetRange(0, 1)).get().ok());
+    EXPECT_FALSE(fleet.Submit(key, splits.test.GetRange(1, 1)).get().ok());
+    ASSERT_TRUE(WaitFor([&] { return fleet.circuit_open(key); }));
+    EXPECT_EQ(CounterValue("serve.circuit_opens"), opens_before + 1);
+    const int64_t throws_at_trip = CounterValue("serve.injected_throws");
 
-  // Open circuit: rejected at admission, resolved immediately, and the
-  // broken model is never called again — no hot loop.
-  std::future<Result<Forecast>> refused =
-      queue.Submit(splits.test.GetRange(2, 1));
-  ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(refused.get().status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(flaky->forward_calls.load(), forwards_at_trip);
+    // Open circuit: rejected at admission, resolved immediately, and the
+    // broken model is never called again — no hot loop.
+    std::future<Result<Forecast>> refused =
+        fleet.Submit(key, splits.test.GetRange(2, 1));
+    ASSERT_EQ(refused.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    EXPECT_EQ(refused.get().status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(CounterValue("serve.injected_throws"), throws_at_trip);
+  }
 
   // Operator fixes the model and closes the circuit: serving resumes.
-  flaky->armed.store(false);
-  queue.ResetCircuitBreaker();
-  Result<Forecast> healed = queue.Submit(splits.test.GetRange(2, 1)).get();
+  ASSERT_TRUE(fleet.ResetCircuitBreaker(key).ok());
+  Result<Forecast> healed =
+      fleet.Submit(key, splits.test.GetRange(2, 1)).get();
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  queue.Shutdown();
+  fleet.Shutdown();
+}
+
+TEST(ContainmentTest, NonFiniteForecastFailsOnlyItsRequestAndTripsBreaker) {
+  // Finite but huge inputs pass admission, then overflow inside the model:
+  // Predict returns Inf/NaN without throwing. That request must fail alone,
+  // its co-batched neighbour must be served bitwise, and a model that keeps
+  // emitting non-finite forecasts must trip the breaker like one that
+  // throws.
+  data::DatasetSplits splits = MakeTestSplits();
+  FleetServer fleet({.num_dispatchers = 1});
+  // Two series fill a batch and the delay is far longer than the test: each
+  // pair below ripens only together, so it always shares one batch.
+  const std::string key =
+      AddLinearTenant(&fleet, splits,
+                      {.max_batch_size = 2,
+                       .max_queue_delay_us = 60 * 1000 * 1000,
+                       .circuit_breaker_failures = 2});
+  InferenceSession* session = fleet.session(key);
+
+  data::Batch overflow = splits.test.GetRange(0, 1);
+  overflow.x = overflow.x.Clone();
+  std::fill(overflow.x.data(), overflow.x.data() + overflow.x.numel(),
+            std::numeric_limits<float>::max());
+  // The premise: this finite request really does overflow the model.
+  const Tensor overflowed = session->Predict(overflow).point;
+  ASSERT_FALSE(std::all_of(overflowed.data(),
+                           overflowed.data() + overflowed.numel(),
+                           [](float v) { return std::isfinite(v); }));
+  const data::Batch neighbour = splits.test.GetRange(1, 1);
+  const Tensor reference = session->Predict(neighbour).point;
+
+  const int64_t nonfinite_before = CounterValue("serve.failed_nonfinite");
+  const int64_t opens_before = CounterValue("serve.circuit_opens");
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(fleet.circuit_open(key)) << "round " << round;
+    std::future<Result<Forecast>> bad = fleet.Submit(key, overflow);
+    std::future<Result<Forecast>> good = fleet.Submit(key, neighbour);
+    EXPECT_EQ(bad.get().status().code(), StatusCode::kInternal)
+        << "round " << round;
+    Result<Forecast> served = good.get();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectTensorsBitwiseEqual(served.value().point, reference,
+                              "neighbour of a non-finite forecast");
+  }
+  EXPECT_EQ(CounterValue("serve.failed_nonfinite"), nonfinite_before + 2);
+  ASSERT_TRUE(WaitFor([&] { return fleet.circuit_open(key); }));
+  EXPECT_EQ(CounterValue("serve.circuit_opens"), opens_before + 1);
+  fleet.Shutdown();
 }
 
 // -- Checkpoint hot-reload (tentpole 3, acceptance c) ----------------------
@@ -713,10 +720,9 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
   const std::string dir = MakeTempDir("reload_live");
   PublishTrainedLinear(splits, dir);
 
-  auto session = OpenLinearSession(splits);
-  ASSERT_TRUE(session.ok());
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 4, .max_queue_delay_us = 1000});
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key = AddLinearTenant(
+      &fleet, splits, {.max_batch_size = 4, .max_queue_delay_us = 1000});
 
   // Acceptance (c): a valid reload swaps with zero failed in-flight
   // requests under concurrent client load.
@@ -728,7 +734,7 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
     clients.emplace_back([&, c] {
       for (int r = 0; r < kRequestsPerClient; ++r) {
         Result<Forecast> result =
-            queue.Submit(splits.test.GetRange((c + r) % 8, 1)).get();
+            fleet.Submit(key, splits.test.GetRange((c + r) % 8, 1)).get();
         if (!result.ok() ||
             result.value().point.size(1) != TestWindow().pred_len) {
           failures.fetch_add(1);
@@ -738,13 +744,13 @@ TEST(ReloadTest, ConcurrentReloadsUnderClientLoadZeroFailures) {
   }
   std::thread reloader([&] {
     for (int i = 0; i < 5; ++i) {
-      ASSERT_TRUE(session.value()->Reload(dir).ok());
+      ASSERT_TRUE(fleet.Reload(key, dir).ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   });
   for (std::thread& t : clients) t.join();
   reloader.join();
-  queue.Shutdown();
+  fleet.Shutdown();
   EXPECT_EQ(failures.load(), 0);
   std::filesystem::remove_all(dir);
 }

@@ -2,8 +2,9 @@
 // recording forward pass, params-only checkpoint loading, checkpoint ->
 // InferenceSession -> Predict round-trips for Conformer and four registered
 // baselines, batched-vs-single bitwise transparency, no activation memory
-// retained across Predict calls, BatchingQueue coalescing/drain behaviour,
-// and the latency quantile helper behind the CLI's p50/p95/p99 summary.
+// retained across Predict calls, one-tenant fleet coalescing/drain
+// behaviour, and the latency quantile helper behind the CLI's p50/p95/p99
+// summary.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -17,7 +18,7 @@
 
 #include "baselines/registry.h"
 #include "data/dataset_registry.h"
-#include "serve/batching_queue.h"
+#include "serve/fleet_server.h"
 #include "serve/inference_session.h"
 #include "serve/stats.h"
 #include "tensor/alloc_stats.h"
@@ -286,33 +287,44 @@ TEST(InferenceSessionTest, EagerPredictRetainsNoTensorMemory) {
   EXPECT_EQ(GetAllocStats().current_bytes, before);
 }
 
-// -- BatchingQueue ---------------------------------------------------------
+// -- One-tenant fleet ------------------------------------------------------
 
-TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
+/// A single model served the way every single-tenant caller serves it: a
+/// one-dispatcher fleet with one tenant keyed model@pred_len.
+std::string AddOneTenant(FleetServer* fleet, const char* model,
+                         const data::DatasetSplits& splits,
+                         QueueConfig queue) {
+  TenantSpec spec;
+  spec.session.model_name = model;
+  spec.session.window = TestWindow();
+  spec.session.dims = splits.test.dims();
+  spec.queue = queue;
+  const std::string key = MakeTenantKey(model, TestWindow().pred_len);
+  EXPECT_TRUE(fleet->AddTenant(key, spec).ok());
+  return key;
+}
+
+TEST(OneTenantFleetTest, CoalescesAndMatchesDirectPredict) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "gru";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
+  const int64_t kRequests = 8;
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key =
+      AddOneTenant(&fleet, "gru", splits,
+                   {.max_batch_size = kRequests,
+                    .max_queue_delay_us = 50 * 1000});
 
   metrics::Registry& registry = metrics::Registry::Global();
   const int64_t batches_before = registry.GetCounter("serve.batches").value();
 
-  const int64_t kRequests = 8;
   std::vector<Tensor> direct;
   for (int64_t r = 0; r < kRequests; ++r) {
     direct.push_back(
-        session.value()->Predict(splits.test.GetRange(r, 1)).point);
+        fleet.session(key)->Predict(splits.test.GetRange(r, 1)).point);
   }
 
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = kRequests,
-                       .max_queue_delay_us = 50 * 1000});
   std::vector<std::future<Result<Forecast>>> futures;
   for (int64_t r = 0; r < kRequests; ++r) {
-    futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+    futures.push_back(fleet.Submit(key, splits.test.GetRange(r, 1)));
   }
   for (int64_t r = 0; r < kRequests; ++r) {
     Result<Forecast> result = futures[r].get();
@@ -320,8 +332,8 @@ TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
     ExpectTensorsBitwiseEqual(result.value().point, direct[r],
                               "queued request " + std::to_string(r));
   }
-  queue.Shutdown();
-  EXPECT_EQ(queue.pending(), 0);
+  fleet.Shutdown();
+  EXPECT_EQ(fleet.pending(key), 0);
 
   // All eight requests arrived well inside the 50ms window, so the
   // dispatcher must have coalesced them into very few batches.
@@ -335,23 +347,18 @@ TEST(BatchingQueueTest, CoalescesAndMatchesDirectPredict) {
             0);
 }
 
-TEST(BatchingQueueTest, ShutdownDrainsPendingRequests) {
+TEST(OneTenantFleetTest, ShutdownDrainsPendingRequests) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
-
   std::vector<std::future<Result<Forecast>>> futures;
   {
     // Long delay + immediate destruction: every future must still resolve.
-    BatchingQueue queue(session.value().get(),
-                        {.max_batch_size = 64,
-                         .max_queue_delay_us = 10 * 1000 * 1000});
+    FleetServer fleet({.num_dispatchers = 1});
+    const std::string key =
+        AddOneTenant(&fleet, "linear", splits,
+                     {.max_batch_size = 64,
+                      .max_queue_delay_us = 10 * 1000 * 1000});
     for (int64_t r = 0; r < 5; ++r) {
-      futures.push_back(queue.Submit(splits.test.GetRange(r, 1)));
+      futures.push_back(fleet.Submit(key, splits.test.GetRange(r, 1)));
     }
   }
   for (auto& f : futures) {
@@ -363,29 +370,26 @@ TEST(BatchingQueueTest, ShutdownDrainsPendingRequests) {
   }
 }
 
-TEST(BatchingQueueTest, MultiSeriesRequestsSliceCorrectly) {
+TEST(OneTenantFleetTest, MultiSeriesRequestsSliceCorrectly) {
   data::DatasetSplits splits = MakeTestSplits();
-  SessionConfig config;
-  config.model_name = "linear";
-  config.window = TestWindow();
-  config.dims = splits.test.dims();
-  auto session = InferenceSession::Open(config, "");
-  ASSERT_TRUE(session.ok());
+  FleetServer fleet({.num_dispatchers = 1});
+  const std::string key =
+      AddOneTenant(&fleet, "linear", splits,
+                   {.max_batch_size = 8, .max_queue_delay_us = 20 * 1000});
+  InferenceSession* session = fleet.session(key);
 
-  BatchingQueue queue(session.value().get(),
-                      {.max_batch_size = 8, .max_queue_delay_us = 20 * 1000});
-  std::future<Result<Forecast>> two = queue.Submit(splits.test.GetRange(0, 2));
+  std::future<Result<Forecast>> two =
+      fleet.Submit(key, splits.test.GetRange(0, 2));
   std::future<Result<Forecast>> three =
-      queue.Submit(splits.test.GetRange(2, 3));
-  ExpectTensorsBitwiseEqual(
-      two.get().value().point,
-      session.value()->Predict(splits.test.GetRange(0, 2)).point,
-      "two-series request");
+      fleet.Submit(key, splits.test.GetRange(2, 3));
+  ExpectTensorsBitwiseEqual(two.get().value().point,
+                            session->Predict(splits.test.GetRange(0, 2)).point,
+                            "two-series request");
   ExpectTensorsBitwiseEqual(
       three.get().value().point,
-      session.value()->Predict(splits.test.GetRange(2, 3)).point,
+      session->Predict(splits.test.GetRange(2, 3)).point,
       "three-series request");
-  queue.Shutdown();
+  fleet.Shutdown();
 }
 
 // -- Latency quantiles -----------------------------------------------------
